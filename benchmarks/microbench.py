@@ -73,7 +73,8 @@ def main(argv: list[str] | None = None) -> int:
         coverage = batch_coverage()
         print(wallclock.format_coverage(coverage))
         if coverage["covered"] != coverage["total"]:
-            print("FAIL: cells without a batch fast path or decline guard",
+            print("FAIL: cells that fire no batch or decline site yet are not "
+                  "in NO_BATCH_TWIN, or are listed there yet fire one",
                   file=sys.stderr)
             return 1
         return 0

@@ -13,8 +13,8 @@ Run:  python examples/missing_data_imputation.py
 
 from repro.bench.runner import paper_scales, run_benchmark
 from repro.impls.spark import SparkGMM, SparkImputation
+from repro.kernels.imputation import imputation_error
 from repro.models import ReferenceImputation
-from repro.models.imputation import imputation_error
 from repro.stats import make_rng
 from repro.workloads import censor_beta_coin, generate_gmm_data
 

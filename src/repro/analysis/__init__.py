@@ -15,8 +15,7 @@ itself).
 
 Analysis runs in two tiers.  The per-file tier (parse, local rules, and
 the :mod:`~repro.analysis.flow` summary pass) is a pure function of one
-file's content and is memoized by :mod:`~repro.analysis.cache`.  The
-per-project tier assembles every summary into a
+file's content.  The per-project tier assembles every summary into a
 :class:`~repro.analysis.graph.ProjectGraph`, runs the dataflow fixed
 points (escaping generators, mutated parameters, transitive wall-clock
 reach) and then the interprocedural rules — so passing an RNG to a
@@ -26,8 +25,7 @@ two modules away from the pool.
 Run it as a module::
 
     python -m repro.analysis [--format text|json] [--baseline FILE]
-                             [--stats] [--graph] [--fix]
-                             [--cache FILE] [paths...]
+                             [--stats] [--graph] [paths...]
 
 Rules (see :mod:`repro.analysis.rules` for the full per-rule docs):
 
@@ -55,7 +53,6 @@ accumulating.
 """
 
 from repro.analysis.baseline import Baseline
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.engine import (
     AnalysisResult,
     Finding,
@@ -63,21 +60,17 @@ from repro.analysis.engine import (
     lint_source,
     run_analysis,
 )
-from repro.analysis.fixes import fix_paths, fix_source
 from repro.analysis.profiles import Profile, profile_for
 from repro.analysis.rules import ALL_RULES, PROJECT_RULES, Rule
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisCache",
     "AnalysisResult",
     "Baseline",
     "Finding",
     "PROJECT_RULES",
     "Profile",
     "Rule",
-    "fix_paths",
-    "fix_source",
     "lint_paths",
     "lint_source",
     "profile_for",

@@ -72,8 +72,6 @@ def _stats_payload(findings, suppressed, stale, result, paths) -> dict:
         "kind": "lint",
         "paths": [str(p) for p in paths],
         "files_scanned": result.files_scanned,
-        "files_reanalyzed": result.files_reanalyzed,
-        "cache_hits": result.cache_hits,
         "findings": len(findings),
         "suppressed_by_baseline": len(suppressed),
         "suppressed_inline": result.suppressions_used,
@@ -121,16 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include the import/call graph and per-layer "
                              "fan-in/out statistics in --stats / --out "
                              "output")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical autofixes (M001 mutable "
-                             "defaults, D004 sorted() wrapping) before "
-                             "linting")
-    parser.add_argument("--cache", metavar="FILE", default=None,
-                        help="incremental cache file: unchanged files reuse "
-                             "their per-file findings and summaries "
-                             "(default: no cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore any configured cache")
     return parser
 
 
@@ -150,22 +138,8 @@ def main(argv=None) -> int:
         return 2
     baseline_path = args.baseline or defaults.get("baseline")
 
-    if args.fix:
-        from repro.analysis.fixes import fix_paths
-
-        for path, count in fix_paths(paths):
-            print(f"fixed {path}: {count} edit(s)")
-
-    cache = None
-    if not args.no_cache:
-        cache_path = args.cache or defaults.get("cache")
-        if cache_path:
-            from repro.analysis.cache import AnalysisCache
-
-            cache = AnalysisCache(cache_path)
-
     try:
-        result = run_analysis(paths, cache=cache)
+        result = run_analysis(paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -206,10 +180,7 @@ def main(argv=None) -> int:
                   "delete it from the baseline)")
         if args.stats:
             print(f"\nscanned {files_scanned} file(s) under "
-                  f"{', '.join(str(p) for p in paths)}"
-                  + (f" ({result.cache_hits} cached, "
-                     f"{result.files_reanalyzed} reanalyzed)"
-                     if result.cache_hits else ""))
+                  f"{', '.join(str(p) for p in paths)}")
             if args.graph and "graph" in stats:
                 shape = stats["graph"]
                 print(f"  graph: {shape['modules']} modules, "

@@ -10,10 +10,9 @@ visitor, and it keeps every rule readable in isolation.
 
 Since the interprocedural growth, a full run has two tiers:
 
-1. **Per file** (cacheable): parse, local rules, and the flow pass that
-   produces the module summary.  :class:`~repro.analysis.cache
-   .AnalysisCache` memoizes this tier by content hash.
-2. **Per project** (always fresh): assemble every summary into a
+1. **Per file**: parse, local rules, and the flow pass that produces
+   the module summary.
+2. **Per project**: assemble every summary into a
    :class:`~repro.analysis.graph.ProjectGraph`, run the dataflow fixed
    points, then the :data:`~repro.analysis.rules.PROJECT_RULES`
    (F001/C001/L001/P001).  Project findings pass through the same
@@ -279,15 +278,8 @@ class AnalysisResult:
 
     findings: list
     files_scanned: int
-    cache_hits: int = 0
-    files_reanalyzed: int = 0
     suppressions_used: int = 0
     project: ProjectContext | None = None
-
-
-def _finding_from_dict(raw: dict) -> Finding:
-    return Finding(rule=raw["rule"], path=raw["path"], line=raw["line"],
-                   col=raw["col"], message=raw["message"], hint=raw["hint"])
 
 
 def build_project_context(summaries) -> ProjectContext:
@@ -307,14 +299,8 @@ def build_project_context(summaries) -> ProjectContext:
         clock_reach=wallclock_reach(graph, wallclock_exempt))
 
 
-def run_analysis(paths, cache=None) -> AnalysisResult:
-    """The full two-tier analysis over files and directories.
-
-    ``cache`` is an :class:`~repro.analysis.cache.AnalysisCache` (or
-    None): per-file findings and summaries are reused when the content
-    hash matches; project rules always run fresh over the summaries.
-    """
-    from repro.analysis.cache import source_digest
+def run_analysis(paths) -> AnalysisResult:
+    """The full two-tier analysis over files and directories."""
     from repro.analysis.graph import build_module_summary
     from repro.analysis.rules import PROJECT_RULES
 
@@ -322,36 +308,16 @@ def run_analysis(paths, cache=None) -> AnalysisResult:
     sources: dict = {}
     local_findings: dict = {}
     summaries: list = []
-    reanalyzed = 0
     for file in files:
         path = file.as_posix()
         source = file.read_text()
         sources[path] = source
-        profile = profile_for(path)
-        digest = source_digest(source)
-        cached = cache.get(path, digest, profile.name) if cache else None
-        if cached is not None:
-            findings_json, summary_json = cached
-            local_findings[path] = [_finding_from_dict(f)
-                                    for f in findings_json]
-            if summary_json is not None:
-                from repro.analysis.graph import ModuleSummary
-                summaries.append(ModuleSummary.from_json(summary_json))
-            continue
-        reanalyzed += 1
-        findings = lint_source(path, source, profile)
+        findings = lint_source(path, source, profile_for(path))
         local_findings[path] = findings
-        summary = None
         if not any(f.rule == "E000" for f in findings):
             tree = ast.parse(source, filename=path)
-            summary = build_module_summary(path, tree, _import_aliases(tree))
-            summaries.append(summary)
-        if cache is not None:
-            cache.put(path, digest, profile.name,
-                      [f.as_dict() for f in findings],
-                      summary.to_json() if summary is not None else None)
-    if cache is not None:
-        cache.save()
+            summaries.append(
+                build_module_summary(path, tree, _import_aliases(tree)))
 
     project = build_project_context(summaries)
     analyzed = set(local_findings)
@@ -370,8 +336,6 @@ def run_analysis(paths, cache=None) -> AnalysisResult:
         merged.extend(findings)
     merged.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return AnalysisResult(findings=merged, files_scanned=len(files),
-                          cache_hits=cache.hits if cache else 0,
-                          files_reanalyzed=reanalyzed,
                           suppressions_used=suppressions_used,
                           project=project)
 

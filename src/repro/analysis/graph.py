@@ -11,10 +11,7 @@ the far side.  This module gives the rules the project view they need:
 * :class:`ModuleSummary` is the per-file digest every interprocedural
   rule consumes — imports with line numbers, the alias table, function
   summaries (see :mod:`repro.analysis.flow`) and class summaries
-  (bases, attribute types, lock discipline).  Summaries are plain data
-  and JSON round-trippable, which is what makes the content-hash cache
-  possible: an unchanged file contributes its cached summary without
-  being re-parsed;
+  (bases, attribute types, lock discipline);
 * :class:`ProjectGraph` resolves dotted names through re-export chains
   (``repro.stats.make_rng`` -> ``repro.stats.rng.make_rng``), resolves
   calls — including method calls on locals constructed from known
@@ -159,22 +156,6 @@ class CallRecord:
     #: ``"0"``/``"1"``/... or ``"kw:<name>"``.
     param_args: tuple = ()
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "callee": self.callee, "line": self.line,
-                "recv_type": self.recv_type, "recv_attr": self.recv_attr,
-                "recv_param": self.recv_param,
-                "gen_args": list(self.gen_args),
-                "param_args": [list(p) for p in self.param_args]}
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "CallRecord":
-        return cls(kind=raw["kind"], callee=raw["callee"], line=raw["line"],
-                   recv_type=raw.get("recv_type", ""),
-                   recv_attr=raw.get("recv_attr", ""),
-                   recv_param=raw.get("recv_param", ""),
-                   gen_args=tuple(raw.get("gen_args", ())),
-                   param_args=tuple(tuple(p) for p in raw.get("param_args", ())))
-
 
 @dataclass(frozen=True)
 class FunctionSummary:
@@ -192,24 +173,6 @@ class FunctionSummary:
     mutations: tuple = ()
     #: Attribute writes on known-class locals: (dotted class, attr, line).
     attr_writes: tuple = ()
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "line": self.line,
-                "params": list(self.params), "is_method": self.is_method,
-                "calls": [c.to_json() for c in self.calls],
-                "wallclock": [list(w) for w in self.wallclock],
-                "mutations": [list(m) for m in self.mutations],
-                "attr_writes": [list(a) for a in self.attr_writes]}
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "FunctionSummary":
-        return cls(name=raw["name"], line=raw["line"],
-                   params=tuple(raw["params"]), is_method=raw["is_method"],
-                   calls=tuple(CallRecord.from_json(c) for c in raw["calls"]),
-                   wallclock=tuple(tuple(w) for w in raw.get("wallclock", ())),
-                   mutations=tuple(tuple(m) for m in raw.get("mutations", ())),
-                   attr_writes=tuple(tuple(a)
-                                     for a in raw.get("attr_writes", ())))
 
     def positional_params(self) -> tuple:
         """Parameters as seen by a caller through a bound receiver."""
@@ -240,21 +203,6 @@ class ClassSummary:
     #: Fields written under ``with self.<lock>`` in a non-init method.
     guarded: tuple
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "line": self.line,
-                "bases": list(self.bases),
-                "attr_types": [list(a) for a in self.attr_types],
-                "lock_attrs": list(self.lock_attrs),
-                "guarded": list(self.guarded)}
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "ClassSummary":
-        return cls(name=raw["name"], line=raw["line"],
-                   bases=tuple(raw["bases"]),
-                   attr_types=tuple(tuple(a) for a in raw["attr_types"]),
-                   lock_attrs=tuple(raw["lock_attrs"]),
-                   guarded=tuple(raw["guarded"]))
-
     def attr_type(self, attr: str) -> str | None:
         for name, dotted in self.attr_types:
             if name == attr:
@@ -276,23 +224,6 @@ class ModuleSummary:
     functions: dict = field(default_factory=dict)
     #: class name -> ClassSummary.
     classes: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"module": self.module, "path": self.path,
-                "imports": [list(i) for i in self.imports],
-                "bindings": dict(self.bindings),
-                "functions": {k: v.to_json() for k, v in self.functions.items()},
-                "classes": {k: v.to_json() for k, v in self.classes.items()}}
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "ModuleSummary":
-        return cls(module=raw["module"], path=raw["path"],
-                   imports=tuple(tuple(i) for i in raw["imports"]),
-                   bindings=dict(raw["bindings"]),
-                   functions={k: FunctionSummary.from_json(v)
-                              for k, v in raw["functions"].items()},
-                   classes={k: ClassSummary.from_json(v)
-                            for k, v in raw["classes"].items()})
 
 
 def _import_targets(tree: ast.Module) -> tuple:

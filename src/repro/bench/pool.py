@@ -27,9 +27,6 @@ Failures in a worker surface as :class:`CellExecutionError` naming the
 failing cell, with the worker traceback inlined.  Setting
 ``REPRO_BENCH_ISOLATE=1`` (or ``isolate=True``) recycles the worker
 process after every cell for full per-cell interpreter isolation.
-``REPRO_BENCH_COMPACT=1`` traces cells through the columnar
-:class:`~repro.cluster.tracer.CompactTracer`; simulated output is
-identical either way.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from typing import Callable, Iterable
 
 from repro.bench.loc import count_source_lines
 from repro.bench.runner import CellResult, run_benchmark
-from repro.cluster.tracer import CompactTracer
 from repro.impls.registry import data_factory
 from repro.stats import make_rng
 from repro.workloads import (
@@ -274,10 +270,6 @@ class CellTask:
         return [arg.spec for arg in self.args if isinstance(arg, WorkloadRef)]
 
 
-def compact_tracing_enabled() -> bool:
-    return os.environ.get("REPRO_BENCH_COMPACT", "").strip() in ("1", "true", "yes")
-
-
 def run_cell(task: CellTask, cache: WorkloadCache | None = None) -> CellResult:
     """Execute one cell in this process (the serial path and the worker
     body are the same function, which is what makes them byte-identical)."""
@@ -285,9 +277,8 @@ def run_cell(task: CellTask, cache: WorkloadCache | None = None) -> CellResult:
     args = [cache.resolve(arg) for arg in task.args]
     factory = data_factory(task.platform, task.model, task.variant, *args,
                            seed=task.seed, **dict(task.kwargs))
-    tracer = CompactTracer() if compact_tracing_enabled() else None
     report = run_benchmark(factory, task.machines, task.iterations,
-                           dict(task.scales), tracer=tracer)
+                           dict(task.scales))
     return CellResult(label=task.label, machines=task.machines, report=report,
                       paper=task.paper, loc=count_source_lines(factory.cls))
 
@@ -442,7 +433,6 @@ __all__ = [
     "WorkloadCache",
     "WorkloadRef",
     "WorkloadSpec",
-    "compact_tracing_enabled",
     "default_cache",
     "isolate_enabled",
     "pool_map",

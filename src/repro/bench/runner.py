@@ -36,7 +36,6 @@ def run_benchmark(
     machines: int,
     iterations: int,
     scales: dict[str, float],
-    tracer: Tracer | None = None,
 ) -> RunReport:
     """Execute one benchmark cell.
 
@@ -44,15 +43,9 @@ def run_benchmark(
     and tracer.  The runner owns the tracer phases: one ``init`` phase
     around ``initialize()`` and one phase per iteration, after which the
     trace is scaled to paper size and simulated.
-
-    ``tracer`` lets a caller substitute a :class:`CompactTracer` for
-    long traces; the simulator consumes its columnar buffer natively
-    (no per-event materialization), and the report is bitwise identical
-    either way.
     """
     cluster = ClusterSpec(machines=machines)
-    if tracer is None:
-        tracer = Tracer()
+    tracer = Tracer()
     impl = factory(cluster, tracer)
     profile = PLATFORM_PROFILES[impl.platform]
     with tracer.init_phase():
@@ -67,19 +60,11 @@ def run_benchmark(
 
 def observed_scale_groups(tracer: Tracer) -> set[str]:
     """Every non-FIXED scale-group component on the traced events.
-    Compound labels ("data*p2") count each component separately.
-    Cost scales come from :meth:`Tracer.observed_cost_scales`, which a
-    :class:`CompactTracer` answers straight off its intern table."""
-    raw = tracer.observed_cost_scales()
-    for phase in tracer.phases:
-        for event in phase.memory:
-            raw.add(event.scale)
-    observed: set[str] = set()
-    for scale in raw:
-        for part in scale.split("*"):
-            if part != FIXED:
-                observed.add(part)
-    return observed
+    Compound labels ("data*p2") count each component separately."""
+    scales = {event.scale for phase in tracer.phases
+              for events in (phase.events, phase.memory) for event in events}
+    return {part for scale in sorted(scales) for part in scale.split("*")
+            if part != FIXED}
 
 
 def validate_scale_groups(impl: Implementation, tracer: Tracer) -> None:

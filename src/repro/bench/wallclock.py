@@ -169,9 +169,14 @@ def format_coverage(coverage: dict) -> str:
     for name, report in sorted(coverage["cells"].items()):
         sites = report["batch_sites"] + [f"{s} (decline)"
                                          for s in report["decline_sites"]]
+        if report["no_batch_twin"]:
+            sites.append("(NO_BATCH_TWIN)")
         mark = "ok " if report["covered"] else "MISS"
         lines.append(f"{mark} {name:36s} {', '.join(sites) or '-'}")
-    lines.append(f"covered: {coverage['covered']}/{coverage['total']}")
+    listed = coverage["no_batch_twin"]
+    lines.append(f"covered: {coverage['covered']}/{coverage['total']} "
+                 f"({coverage['covered'] - listed} by a batch or decline "
+                 f"site, {listed} by NO_BATCH_TWIN)")
     return "\n".join(lines)
 
 

@@ -19,7 +19,7 @@ from repro.cluster.events import PARALLEL_KINDS, Phase, Site
 from repro.cluster.faults import FaultInjector, FaultSchedule, RetryPolicy
 from repro.cluster.machine import ClusterSpec
 from repro.cluster.memory import MemoryVerdict, check_phase_memory
-from repro.cluster.tracer import CompactTracer, Tracer
+from repro.cluster.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,8 @@ class Simulator:
                 faults, self.cluster, self.profile,
                 policy=retry_policy, checkpoint_interval=checkpoint_interval,
             )
-        for index, phase_report in enumerate(self._base_reports(tracer, scale_map)):
+        for index, phase in enumerate(tracer.phases):
+            phase_report = self._simulate_phase(phase, scale_map, index)
             if injector is not None:
                 phase_report = self._inject(injector, index, phase_report, report)
             report.phases.append(phase_report)
@@ -201,24 +202,6 @@ class Simulator:
                 report.fail_phase = phase_report.name
                 break
         return report
-
-    def _base_reports(self, tracer: Tracer, scale_map: ScaleMap):
-        """Fault-free per-phase reports, lazily for object-list traces.
-
-        A :class:`CompactTracer` never materializes ``CostEvent``
-        objects: its columnar buffer is priced in one vectorized pass by
-        :mod:`repro.cluster.tracealgebra`, which is bitwise-identical to
-        :meth:`_simulate_phase` (the oracle the golden suite checks it
-        against).
-        """
-        if isinstance(tracer, CompactTracer):
-            from repro.cluster import tracealgebra
-
-            return tracealgebra.phase_reports(
-                tracealgebra.TraceTable.of(tracer), scale_map,
-                self.cluster, self.profile)
-        return (self._simulate_phase(phase, scale_map, index)
-                for index, phase in enumerate(tracer.phases))
 
     def _simulate_phase(self, phase: Phase, scale_map: ScaleMap,
                         index: int = 0) -> PhaseReport:

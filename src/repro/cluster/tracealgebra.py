@@ -52,7 +52,7 @@ from repro.cluster.faults import FaultRates
 from repro.cluster.machine import ClusterSpec, Fleet
 from repro.cluster.memory import MemoryVerdict, check_phase_memory
 from repro.cluster.simulator import PhaseReport, RunReport
-from repro.cluster.tracer import _KIND_CODE, _KINDS, CompactTracer, Tracer
+from repro.cluster.tracer import Tracer
 from repro.config import CHECKPOINT_REPLICATION, DEFAULT_RETRY_POLICY, RetryPolicy
 from repro.stats import make_rng
 
@@ -64,6 +64,9 @@ __all__ = [
     "simulate_grid",
 ]
 
+#: Stable kind <-> small-int code tables for the event arrays.
+_KINDS: tuple[Kind, ...] = tuple(Kind)
+_KIND_CODE: dict[Kind, int] = {kind: code for code, kind in enumerate(_KINDS)}
 _SITES: tuple[Site, ...] = tuple(Site)
 _SITE_CODE: dict[Site, int] = {site: code for code, site in enumerate(_SITES)}
 _PARALLEL_KIND_CODES = frozenset(_KIND_CODE[kind] for kind in PARALLEL_KINDS)
@@ -93,7 +96,7 @@ class TraceTable:
     phase_names: tuple[str, ...]
     phase_slices: tuple[tuple[int, int], ...]
     phase_memory: tuple[tuple[MemoryEvent, ...], ...]
-    kinds: np.ndarray  # (E,) kind codes into tracer._KINDS
+    kinds: np.ndarray  # (E,) kind codes into _KINDS
     records: np.ndarray  # (E,) float64, laptop-scale quantities
     flops: np.ndarray
     bytes: np.ndarray
@@ -158,40 +161,12 @@ class TraceTable:
 
     @classmethod
     def from_tracer(cls, tracer: Tracer) -> "TraceTable":
-        """Build a table from a finished trace.
-
-        A :class:`CompactTracer` converts by stacking its columnar
-        buffers (near zero-copy); a plain :class:`Tracer` converts with
-        one pass over its event objects.  The tracer is read-only here.
+        """Build a table from a finished trace in one pass over its
+        event objects.  The tracer is read-only here.
         """
         phase_names = tuple(p.name for p in tracer.phases)
         phase_memory = tuple(tuple(p.memory) for p in tracer.phases)
-        if isinstance(tracer, CompactTracer):
-            counts = [len(columns) for columns in tracer._columns]
-            offsets = np.concatenate(([0], np.cumsum(counts))).astype(int)
-            phase_slices = tuple(
-                (int(offsets[i]), int(offsets[i + 1]))
-                for i in range(len(counts)))
-            if sum(counts):
-                kinds = np.concatenate(
-                    [np.asarray(c.kinds) for c in tracer._columns])
-                records = np.concatenate(
-                    [np.asarray(c.records) for c in tracer._columns])
-                flops = np.concatenate(
-                    [np.asarray(c.flops) for c in tracer._columns])
-                bytes_ = np.concatenate(
-                    [np.asarray(c.bytes) for c in tracer._columns])
-                meta = np.concatenate(
-                    [np.asarray(c.meta) for c in tracer._columns]).astype(int)
-            else:
-                kinds = np.zeros(0, dtype=np.int8)
-                records = flops = bytes_ = np.zeros(0)
-                meta = np.zeros(0, dtype=int)
-            metas = [(m[0], m[1], m[2], m[3]) for m in tracer._metas]
-            return cls._finish(phase_names, phase_slices, phase_memory,
-                               kinds, records, flops, bytes_, meta, metas)
-        # Plain tracer: intern metadata in first-use order, exactly as
-        # CompactTracer.emit would have.
+        # Intern (language, scale, site, label) in first-use order.
         meta_codes: dict[tuple, int] = {}
         metas: list[tuple] = []
         kind_rows: list[int] = []
@@ -229,14 +204,10 @@ class TraceTable:
     def of(cls, tracer: Tracer) -> "TraceTable":
         """``from_tracer`` with a cache on the tracer instance.
 
-        Both tracer buffers are append-only, so a key of (phase count,
+        Both event lists are append-only, so a key of (phase count,
         cost-event count, memory-event count) detects every growth.
         """
-        if isinstance(tracer, CompactTracer):
-            events = tracer.event_count()
-        else:
-            events = sum(len(p.events) for p in tracer.phases)
-        key = (len(tracer.phases), events,
+        key = (len(tracer.phases), sum(len(p.events) for p in tracer.phases),
                sum(len(p.memory) for p in tracer.phases))
         cached = getattr(tracer, "_trace_table_cache", None)
         if cached is not None and cached[0] == key:
@@ -336,10 +307,10 @@ def phase_reports(
 ) -> list[PhaseReport]:
     """Fault-free per-phase reports, bitwise equal to the scalar path.
 
-    This is the CompactTracer-native replacement for
-    ``Simulator._simulate_phase``: one vectorized pass prices every
-    event, then each phase folds its parallel/serial subsequences
-    sequentially and runs the (already scalar-exact) memory check.
+    The vectorized counterpart of ``Simulator._simulate_phase``: one
+    pass prices every event, then each phase folds its parallel/serial
+    subsequences sequentially and runs the (already scalar-exact)
+    memory check.
     """
     seconds = event_seconds_array(table, scale_map, cluster, profile)
     reports = []

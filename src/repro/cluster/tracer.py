@@ -5,18 +5,10 @@ A :class:`Tracer` groups :class:`~repro.cluster.events.CostEvent` and
 (``init``, ``iteration:0``, ``iteration:1``, ...).  Platform engines are
 handed a tracer (or the do-nothing :class:`NullTracer`) and call
 :meth:`Tracer.emit` / :meth:`Tracer.materialize` as they execute.
-
-:class:`CompactTracer` accepts the same emit API but stores cost events
-columnar — parallel scalar arrays of kind/records/flops/bytes plus an
-interned metadata code — so long traces stop allocating one Python
-object per record.  :meth:`CompactTracer.materialized` replays the
-buffer into ordinary :class:`Phase` lists for the simulator, and the
-round trip is exact (``tests/test_tracer_compact.py``).
 """
 
 from __future__ import annotations
 
-from array import array
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -134,15 +126,6 @@ class Tracer:
     def iteration_phases(self) -> list[Phase]:
         return [p for p in self.phases if p.is_iteration]
 
-    def observed_cost_scales(self) -> set[str]:
-        """Raw scale labels on cost events (compound labels unsplit).
-
-        Lets scale-group validation stay storage-agnostic: a
-        :class:`CompactTracer` answers from its intern table without
-        materializing events.
-        """
-        return {event.scale for phase in self.phases for event in phase.events}
-
     def named(self, name: str) -> list[Phase]:
         return [p for p in self.phases if p.name == name]
 
@@ -213,202 +196,6 @@ class Tracer:
         if self._current is None:
             raise RuntimeError("emit/materialize called outside any phase")
         return self._current
-
-
-#: Stable kind <-> small-int code tables for the columnar buffer.
-_KINDS: tuple[Kind, ...] = tuple(Kind)
-_KIND_CODE: dict[Kind, int] = {kind: code for code, kind in enumerate(_KINDS)}
-
-
-class _CostColumns:
-    """Columnar cost-event storage for one phase.
-
-    One row is ``(kind_code, records, flops, bytes, meta_code)``; the
-    metadata code indexes the owning tracer's intern table of
-    ``(language, scale, site, label)`` tuples.  ~29 bytes per event
-    instead of a full :class:`CostEvent` instance.
-    """
-
-    __slots__ = ("kinds", "records", "flops", "bytes", "meta")
-
-    def __init__(self) -> None:
-        self.kinds = array("b")
-        self.records = array("d")
-        self.flops = array("d")
-        self.bytes = array("d")
-        self.meta = array("l")
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def append(self, kind_code: int, records: float, flops: float,
-               bytes_: float, meta_code: int) -> None:
-        self.kinds.append(kind_code)
-        self.records.append(records)
-        self.flops.append(flops)
-        self.bytes.append(bytes_)
-        self.meta.append(meta_code)
-
-    def row(self, i: int) -> tuple:
-        return (self.kinds[i], self.records[i], self.flops[i],
-                self.bytes[i], self.meta[i])
-
-
-class CompactTracer(Tracer):
-    """A :class:`Tracer` whose cost events live in columnar buffers.
-
-    Engines drive it through the unchanged ``emit`` API; nothing is
-    allocated per event beyond five scalar appends.  Memory events stay
-    object-based (they are rare — a handful per phase).  The fast-path
-    capture/replay hooks work on raw column rows, so memoized lineage
-    replays stay object-free too.
-
-    The buffer is replayed to ordinary phases with :meth:`materialized`
-    (or a full :meth:`to_tracer`) when a consumer — the simulator, the
-    scale-group validator — needs real ``Phase.events`` lists; the
-    reconstruction is exact, so simulated seconds are identical to the
-    object-list path.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._columns: list[_CostColumns] = []
-        self._current_columns: _CostColumns | None = None
-        self._meta_codes: dict[tuple, int] = {}
-        self._metas: list[tuple] = []
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[Phase]:
-        columns = _CostColumns()
-        with super().phase(name) as opened:
-            self._columns.append(columns)
-            self._current_columns = columns
-            try:
-                yield opened
-            finally:
-                self._current_columns = None
-
-    def emit(
-        self,
-        kind: Kind,
-        records: float = 0.0,
-        flops: float = 0.0,
-        bytes: float = 0.0,
-        language: str = "python",
-        scale: str = DATA,
-        site: Site = Site.CLUSTER,
-        label: str = "",
-    ) -> None:
-        columns = self._current_columns
-        if columns is None:
-            raise RuntimeError("emit/materialize called outside any phase")
-        if records < 0 or flops < 0 or bytes < 0:
-            raise ValueError(
-                f"event quantities must be non-negative: {kind} records={records} "
-                f"flops={flops} bytes={bytes}")
-        meta = (language, scale, site, label)
-        code = self._meta_codes.get(meta)
-        if code is None:
-            code = len(self._metas)
-            self._meta_codes[meta] = code
-            self._metas.append(meta)
-        columns.append(_KIND_CODE[kind], records, flops, bytes, code)
-
-    # -- capture/replay on raw rows (see Tracer counterparts) ----------
-
-    def _mark(self) -> tuple[int, int] | None:
-        if self._current is None or self._current_columns is None:
-            return None
-        return (len(self._current_columns), len(self._current.memory))
-
-    def _events_since(self, mark) -> tuple[tuple, tuple]:
-        if mark is None or self._current is None:
-            return ((), ())
-        columns = self._current_columns
-        rows = tuple(columns.row(i) for i in range(mark[0], len(columns)))
-        return (rows, tuple(self._current.memory[mark[1]:]))
-
-    def _replay(self, rows, memory) -> None:
-        if not rows and not memory:
-            return
-        phase = self._require_phase()
-        columns = self._current_columns
-        for row in rows:
-            columns.append(*row)
-        phase.memory.extend(memory)
-
-    def observed_cost_scales(self) -> set[str]:
-        """Raw scale labels straight off the intern table.
-
-        Metadata is interned only at emit time, so every entry is backed
-        by at least one event — the set equals the object-list answer.
-        """
-        return {meta[1] for meta in self._metas}
-
-    # -- materialization -----------------------------------------------
-
-    def event_count(self) -> int:
-        """Cost events held in the buffer (no objects allocated)."""
-        return sum(len(columns) for columns in self._columns)
-
-    def _phase_events(self, index: int) -> list[CostEvent]:
-        columns = self._columns[index]
-        metas = self._metas
-        out = []
-        for i in range(len(columns)):
-            language, scale, site, label = metas[columns.meta[i]]
-            out.append(CostEvent(
-                kind=_KINDS[columns.kinds[i]],
-                records=columns.records[i],
-                flops=columns.flops[i],
-                bytes=columns.bytes[i],
-                language=language,
-                scale=scale,
-                site=site,
-                label=label,
-            ))
-        return out
-
-    def materialized(self) -> list[Phase]:
-        """Replay the columnar buffer into ordinary :class:`Phase` lists."""
-        return [Phase(phase.name, self._phase_events(i), list(phase.memory))
-                for i, phase in enumerate(self.phases)]
-
-    def to_tracer(self) -> Tracer:
-        """A plain object-list tracer holding the materialized phases."""
-        tracer = Tracer()
-        tracer.phases = self.materialized()
-        return tracer
-
-    def summary(self) -> dict:
-        """Aggregate totals straight off the columns (no materialization)."""
-        events_by_kind: dict[str, int] = {}
-        records = 0.0
-        flops = 0.0
-        total_bytes = 0.0
-        bytes_by_scale: dict[str, float] = {}
-        for columns in self._columns:
-            for i in range(len(columns)):
-                kind = _KINDS[columns.kinds[i]].value
-                events_by_kind[kind] = events_by_kind.get(kind, 0) + 1
-                records += columns.records[i]
-                flops += columns.flops[i]
-                bytes_ = columns.bytes[i]
-                total_bytes += bytes_
-                if bytes_:
-                    scale = self._metas[columns.meta[i]][1]
-                    bytes_by_scale[scale] = bytes_by_scale.get(scale, 0.0) + bytes_
-        return {
-            "phases": len(self.phases),
-            "events": sum(events_by_kind.values()),
-            "events_by_kind": dict(sorted(events_by_kind.items())),
-            "compute_events": events_by_kind.get("compute", 0),
-            "shuffle_events": events_by_kind.get("shuffle", 0),
-            "records": records,
-            "flops": flops,
-            "bytes": total_bytes,
-            "bytes_by_scale": dict(sorted(bytes_by_scale.items())),
-        }
 
 
 class NullTracer(Tracer):

@@ -3,7 +3,7 @@
 from repro.graph.giraph import GiraphContext, GiraphEngine, OUTGOING_BUFFER_FRACTION
 from repro.graph.graph import GraphEngine, VertexId, VertexKind
 from repro.graph.graphlab import GASProgram, GraphLabEngine
-from repro.graph.supervertex import (
+from repro.kernels.grouping import (
     SUPER_VERTICES_PER_MACHINE,
     group_items,
     group_rows,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable
 
-from repro import fastpath
 from repro.cluster.costmodel import combine_scales
 from repro.cluster.events import FIXED, Kind as EventKind, Site
 from repro.cluster.machine import ClusterSpec
@@ -43,16 +42,7 @@ class GASProgram:
     ``apply`` consumes the folded total and returns the center vertex's
     new value.  The default scatter merely signals neighbors, as in the
     paper's GMM code.
-
-    A program may additionally define ``sum_batch(contributions)``
-    returning the same value as the left fold of ``sum`` over the list —
-    the engine then folds each center's gathered contributions in one
-    vectorized call on the host fast path.  Cost events are identical
-    either way.
     """
-
-    #: Optional vectorized fold; must equal the left fold of ``sum``.
-    sum_batch: Callable | None = None
 
     def gather(self, center_id: Hashable, center_value, nbr_kind: str,
                nbr_id: Hashable, nbr_value):
@@ -129,7 +119,6 @@ class GraphLabEngine(GraphEngine):
         gathered_bytes = 0.0
         contribution_sample: float | None = None
         edge_scale = population.edge_scale
-        batch = program.sum_batch if fastpath.enabled() else None
         new_values = {}
         for center, value in population.values.items():
             contributions = []
@@ -148,15 +137,9 @@ class GraphLabEngine(GraphEngine):
                         contribution_sample = estimate_bytes(contribution)
                     gathered_bytes += contribution_sample
                     contributions.append(contribution)
-            if not contributions:
-                total = None
-            elif batch is not None and len(contributions) > 1:
-                total = batch(contributions)
-                fastpath.record_batch(f"graphlab.sum:{center_kind}")
-            else:
-                total = contributions[0]
-                for contribution in contributions[1:]:
-                    total = program.sum(total, contribution)
+            total = contributions[0] if contributions else None
+            for contribution in contributions[1:]:
+                total = program.sum(total, contribution)
             new_values[center] = program.apply(center, value, total)
 
         self.tracer.emit(

@@ -214,7 +214,7 @@ class GiraphGMMSuperVertex(GiraphGMM):
         return ("data", "sv")
 
     def initialize(self) -> None:
-        from repro.graph.supervertex import group_rows
+        from repro.kernels.grouping import group_rows
 
         # Same wiring as the parent, but data vertices hold blocks.
         engine, rng = self.engine, self.rng

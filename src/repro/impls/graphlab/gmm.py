@@ -44,13 +44,6 @@ class _GatherModel(GASProgram):
     def sum(self, a, b):
         return a + b
 
-    def sum_batch(self, contributions):
-        # List concatenation: the left fold of + in one pass.
-        out = []
-        for contribution in contributions:
-            out.extend(contribution)
-        return out
-
     def apply(self, center_id, center_value, total):
         return self.impl.apply_data(center_value, total)
 
@@ -67,9 +60,6 @@ class _GatherTriples(GASProgram):
     def sum(self, a, b):
         return gmm.add_triples(a, b)
 
-    def sum_batch(self, contributions):
-        return gmm.add_triples_batch(contributions)
-
     def apply(self, center_id, center_value, total):
         return self.impl.apply_cluster(center_id, center_value, total)
 
@@ -85,9 +75,6 @@ class _GatherCounts(GASProgram):
 
     def sum(self, a, b):
         return a + b
-
-    def sum_batch(self, contributions):
-        return np.cumsum(np.stack(contributions), axis=0)[-1]
 
     def apply(self, center_id, center_value, total):
         counts = total if total is not None else np.zeros(self.impl.clusters)

@@ -25,7 +25,6 @@ from repro.cluster.tracer import Tracer
 from repro.graph import GASProgram, GraphLabEngine, group_items
 from repro.impls.base import Implementation, declare_scale_limit
 from repro.kernels import hmm
-from repro.kernels.folds import fold_array_sum
 
 
 class _ResampleStates(GASProgram):
@@ -39,13 +38,6 @@ class _ResampleStates(GASProgram):
     def sum(self, a, b):
         return a + b
 
-    def sum_batch(self, contributions):
-        # List concatenation: the left fold of + in one pass.
-        out = []
-        for contribution in contributions:
-            out.extend(contribution)
-        return out
-
     def apply(self, center_id, center_value, total):
         impl = self.impl
         rows = sorted(total or [])
@@ -56,6 +48,7 @@ class _ResampleStates(GASProgram):
         )
         values = list(zip(center_value["words"], center_value["states"]))
         if fastpath.enabled() and len(values) > 1:
+            fastpath.record_batch("graphlab.apply:hmm")
             updated_list = hmm.resample_documents_batch(impl.rng, values, model,
                                                         impl.iteration)
         else:
@@ -94,12 +87,6 @@ class _UpdateModel(GASProgram):
 
     def sum(self, a, b):
         return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-    def sum_batch(self, contributions):
-        # Columnwise cumsum folds: each equals the sequential left fold.
-        return (fold_array_sum([c[0] for c in contributions]),
-                fold_array_sum([c[1] for c in contributions]),
-                fold_array_sum([c[2] for c in contributions]))
 
     def apply(self, center_id, center_value, total):
         impl = self.impl

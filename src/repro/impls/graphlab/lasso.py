@@ -19,7 +19,6 @@ from repro.cluster.tracer import Tracer
 from repro.graph import GASProgram, GraphLabEngine, group_rows
 from repro.impls.base import Implementation
 from repro.kernels import lasso
-from repro.kernels.folds import fold_array_sum
 
 
 class _CenterRound(GASProgram):
@@ -44,10 +43,6 @@ class _CenterRound(GASProgram):
 
     def sum(self, a, b):
         return a + b
-
-    def sum_batch(self, contributions):
-        # Sequential cumsum: the left fold of elementwise + bitwise.
-        return fold_array_sum(contributions)
 
     def apply(self, center_id, center_value, total):
         impl = self.impl
@@ -75,10 +70,6 @@ class _ModelRound(GASProgram):
 
     def sum(self, a, b):
         return a
-
-    def sum_batch(self, contributions):
-        # The fold keeps the first contribution; so does the batch.
-        return contributions[0]
 
     def apply(self, center_id, center_value, total):
         if total is None:

@@ -18,7 +18,6 @@ from repro.cluster.tracer import Tracer
 from repro.graph import GASProgram, GraphLabEngine, group_items
 from repro.impls.base import Implementation, declare_scale_limit
 from repro.kernels import lda
-from repro.kernels.folds import fold_array_sum
 
 
 class _ResampleTopics(GASProgram):
@@ -31,13 +30,6 @@ class _ResampleTopics(GASProgram):
     def sum(self, a, b):
         return a + b
 
-    def sum_batch(self, contributions):
-        # List concatenation: the left fold of + in one pass.
-        out = []
-        for contribution in contributions:
-            out.extend(contribution)
-        return out
-
     def apply(self, center_id, center_value, total):
         impl = self.impl
         rows = sorted(total or [])
@@ -46,6 +38,7 @@ class _ResampleTopics(GASProgram):
         total_words = 0
         values = list(zip(center_value["words"], center_value["thetas"]))
         if fastpath.enabled() and len(values) > 1:
+            fastpath.record_batch("graphlab.apply:lda")
             resampled = lda.resample_documents_batch(impl.rng, values, phi,
                                                      impl.alpha)
         else:
@@ -78,9 +71,6 @@ class _UpdatePhi(GASProgram):
 
     def sum(self, a, b):
         return a + b
-
-    def sum_batch(self, contributions):
-        return fold_array_sum(contributions)
 
     def apply(self, center_id, center_value, total):
         impl = self.impl

@@ -30,6 +30,7 @@ from repro.impls.base import Implementation
 from repro.impls.simsql.common import counts_with_zeros, cross, padded_sum, project
 from repro.impls.simsql.vgs import GMMSuperVertexVG, MultinomialMembershipVG, PosteriorMeanVG
 from repro.kernels import gmm
+from repro.kernels.grouping import group_rows
 from repro.relational import (
     Alias,
     Database,
@@ -46,7 +47,6 @@ from repro.relational import (
     lit,
     versioned,
 )
-from repro.graph.supervertex import group_rows
 
 
 class SimSQLGMM(Implementation):

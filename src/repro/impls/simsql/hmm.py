@@ -26,8 +26,8 @@ from repro.cluster.tracer import Tracer
 from repro.impls.base import Implementation
 from repro.impls.simsql.common import cross, padded_sum, project
 from repro.impls.simsql.vgs import HMMDocumentVG, HMMSuperVertexVG, HMMWordVG
-from repro.graph.supervertex import group_items
 from repro.kernels import hmm
+from repro.kernels.grouping import group_items
 from repro.relational import (
     Alias,
     Database,

@@ -18,8 +18,8 @@ from repro.cluster.tracer import Tracer
 from repro.impls.base import Implementation
 from repro.impls.simsql.common import cross, padded_sum, project
 from repro.impls.simsql.vgs import LDADocumentVG, LDAWordVG
-from repro.graph.supervertex import group_items
 from repro.kernels import lda
+from repro.kernels.grouping import group_items
 from repro.relational import (
     Alias,
     Database,
@@ -373,43 +373,6 @@ class _LDABlockVG(LDADocumentVG):
             out.extend((doc_id, "z", pos, int(w), float(t))
                        for pos, (w, t) in enumerate(zip(words, z)))
             out.extend((doc_id, "theta", t, 0, float(p))
-                       for t, p in enumerate(new_theta))
-        return out
-
-    def invoke_batch(self, rng, grouped):
-        """Every block's documents in one batch LDA kernel call.
-
-        Documents flatten in (group, doc_id) order — the scalar loop's
-        exact sequence — so the batch kernel's interleaved per-document
-        draws consume ``self.rng`` identically.
-        """
-        if not grouped:
-            return []
-        first = grouped[0][1]
-        phi = self._cache.get(first["phi"], lambda: self._parse_phi(first["phi"]))
-        values = []
-        doc_keys = []  # (group key, doc_id, words) in scalar order
-        for key, params in grouped:
-            docs: dict[int, list[tuple]] = {}
-            for doc_id, pos, word in self._require(params, "doc"):
-                docs.setdefault(int(doc_id), []).append((int(pos), int(word)))
-            thetas: dict[int, list[tuple]] = {}
-            for doc_id, topic, p in self._require(params, "theta"):
-                thetas.setdefault(int(doc_id), []).append((int(topic), float(p)))
-            for doc_id in sorted(docs):
-                rows = sorted(docs[doc_id])
-                words = np.array([w for _, w in rows])
-                theta = np.empty(self.topics)
-                for topic, p in thetas[doc_id]:
-                    theta[topic] = p
-                values.append((words, theta))
-                doc_keys.append((key, doc_id, words))
-        updated = lda.resample_documents_batch(self.rng, values, phi, self.alpha)
-        out = []
-        for (key, doc_id, words), (z, new_theta) in zip(doc_keys, updated):
-            out.extend(key + (doc_id, "z", pos, int(w), float(t))
-                       for pos, (w, t) in enumerate(zip(words, z)))
-            out.extend(key + (doc_id, "theta", t, 0, float(p))
                        for t, p in enumerate(new_theta))
         return out
 

@@ -161,9 +161,6 @@ class PosteriorMeanVG(VGFunction):
         draw = gmm.sample_cluster_mean(self.rng, lambda0, mu0, sigma, count, sums)
         return [(i, float(draw[i])) for i in range(d)]
 
-    # Per-cluster matrix draws interleave; strip the dispatch only.
-    invoke_batch = VGFunction._strip_batch
-
     def flops_per_invocation(self, params):
         d = max(1, len(params.get("prior_mean", (1,))))
         return float(6 * d**3)
@@ -197,9 +194,6 @@ class LassoBetaVG(VGFunction):
         (sigma2,), = self._require(params, "sigma")
         draw = lasso.sample_beta_from(self.rng, gram, xty, tau2_inv, float(sigma2))
         return [(j, float(draw[j])) for j in range(p)]
-
-    # A single invocation per plan; strip the dispatch only.
-    invoke_batch = VGFunction._strip_batch
 
     def flops_per_invocation(self, params):
         p = max(1, len(params.get("xty", (1,))))
@@ -247,32 +241,6 @@ class HMMDocumentVG(VGFunction):
                                                self.iteration_fn())
         return [(pos, int(w), int(s)) for pos, (w, s) in enumerate(zip(words, updated))]
 
-    def invoke_batch(self, rng, grouped):
-        """Every document of one update in a single FFBS batch call.
-
-        The model tables broadcast (one parse); the alternating-parity
-        sweeps run through ``hmm.resample_documents_batch``, whose one
-        stacked categorical draw consumes ``self.rng`` exactly like the
-        sequential per-document sweeps.
-        """
-        if not grouped:
-            return []
-        first = grouped[0][1]
-        model = self._cache.get(first["psi"], lambda: self._parse_model(first))
-        values = []
-        for _, params in grouped:
-            doc = sorted(self._require(params, "doc"))
-            words = np.array([int(r[1]) for r in doc])
-            states = np.array([int(r[2]) for r in doc])
-            values.append((words, states))
-        updated = hmm.resample_documents_batch(self.rng, values, model,
-                                               self.iteration_fn())
-        out = []
-        for (key, _), (words, _), new_states in zip(grouped, values, updated):
-            out.extend(key + (pos, int(w), int(s))
-                       for pos, (w, s) in enumerate(zip(words, new_states)))
-        return out
-
     def flops_per_invocation(self, params):
         return float(len(params.get("doc", ())) * self.states * 4)
 
@@ -317,31 +285,6 @@ class HMMWordVG(VGFunction):
         weights = hmm.word_state_weights(model, int(word), prev_state, next_state)
         return [(int(Categorical(weights).sample(self.rng)),)]
 
-    def invoke_batch(self, rng, grouped):
-        """All word cells of one parity update in one stacked draw.
-
-        The per-cell weight vectors assemble in group order and resolve
-        through a single ``sample_categorical_rows`` call — the same
-        draw stream as the sequential per-cell ``Categorical`` samples.
-        """
-        if not grouped:
-            return []
-        first = grouped[0][1]
-        model = self._cache.get(first["psi"], lambda: self._parse_model(first))
-        weights = np.empty((len(grouped), self.states))
-        for i, (_, params) in enumerate(grouped):
-            (word, is_start, is_end), = self._require(params, "cell")
-            prev_rows = params.get("prev", [])
-            next_rows = params.get("next", [])
-            prev_state = (None if is_start or not prev_rows
-                          else int(prev_rows[0][0]))
-            next_state = (int(next_rows[0][0]) if not is_end and next_rows
-                          else None)
-            weights[i] = hmm.word_state_weights(model, int(word), prev_state,
-                                                next_state)
-        draws = sample_categorical_rows(self.rng, weights)
-        return [key + (int(s),) for (key, _), s in zip(grouped, draws)]
-
     def flops_per_invocation(self, params):
         return float(self.states * 4)
 
@@ -382,39 +325,6 @@ class HMMSuperVertexVG(VGFunction):
             )
         return out
 
-    def invoke_batch(self, rng, grouped):
-        """Every super vertex's block in one FFBS batch call.
-
-        Documents flatten in (group, doc_id) order — the scalar loop's
-        exact sequence — and the stacked draw consumes ``self.rng``
-        identically.
-        """
-        if not grouped:
-            return []
-        parser = HMMWordVG(self.rng, self.states, self.vocabulary)
-        first = grouped[0][1]
-        model = self._cache.get(first["psi"], lambda: parser._parse_model(first))
-        iteration = self.iteration_fn()
-        values = []
-        doc_keys = []  # (group key, doc_id, words) in scalar order
-        for key, params in grouped:
-            by_doc: dict[int, list[tuple]] = {}
-            for doc_id, pos, word, state in self._require(params, "doc"):
-                by_doc.setdefault(int(doc_id), []).append(
-                    (int(pos), int(word), int(state)))
-            for doc_id, rows in sorted(by_doc.items()):
-                rows.sort()
-                words = np.array([r[1] for r in rows])
-                states = np.array([r[2] for r in rows])
-                values.append((words, states))
-                doc_keys.append((key, doc_id, words))
-        updated = hmm.resample_documents_batch(self.rng, values, model, iteration)
-        out = []
-        for (key, doc_id, words), new_states in zip(doc_keys, updated):
-            out.extend(key + (doc_id, pos, int(w), int(s))
-                       for pos, (w, s) in enumerate(zip(words, new_states)))
-        return out
-
     def flops_per_invocation(self, params):
         return float(len(params.get("doc", ())) * self.states * 4)
 
@@ -445,26 +355,6 @@ class LDAWordVG(VGFunction):
         theta = _rows_to_vector(self._require(params, "theta"))
         weights = lda.word_topic_weights(theta, phi, int(word))
         return [(int(Categorical(weights).sample(self.rng)),)]
-
-    def invoke_batch(self, rng, grouped):
-        """All word cells of one update in one stacked draw.
-
-        Phi broadcasts (one parse); each cell's theta rows still join in
-        per group — the data-sized join cost is unchanged — but the
-        topic draws collapse into a single ``sample_categorical_rows``
-        call over the stacked weight rows.
-        """
-        if not grouped:
-            return []
-        first = grouped[0][1]
-        phi = self._cache.get(first["phi"], lambda: self._parse_phi(first["phi"]))
-        weights = np.empty((len(grouped), self.topics))
-        for i, (_, params) in enumerate(grouped):
-            (word,), = self._require(params, "cell")
-            theta = _rows_to_vector(self._require(params, "theta"))
-            weights[i] = lda.word_topic_weights(theta, phi, int(word))
-        draws = sample_categorical_rows(self.rng, weights)
-        return [key + (int(t),) for (key, _), t in zip(grouped, draws)]
 
     def flops_per_invocation(self, params):
         return float(self.topics * 3)
@@ -505,33 +395,6 @@ class LDADocumentVG(VGFunction):
         out = [("z", int(pos), int(w), float(t))
                for pos, (w, t) in enumerate(zip(words, z))]
         out.extend(("theta", int(t), 0, float(p)) for t, p in enumerate(new_theta))
-        return out
-
-    def invoke_batch(self, rng, grouped):
-        """Every document of one update through the batch LDA kernel.
-
-        Phi broadcasts (one parse); the whole block's topic-weight
-        matrix is computed upfront by ``lda.resample_documents_batch``
-        while the per-document (z, theta) draws stay interleaved in
-        group order — the same stream as the sequential invokes.
-        """
-        if not grouped:
-            return []
-        first = grouped[0][1]
-        phi = self._cache.get(first["phi"], lambda: self._parse_phi(first["phi"]))
-        values = []
-        for _, params in grouped:
-            doc = sorted(self._require(params, "doc"))
-            words = np.array([int(r[1]) for r in doc])
-            theta = _rows_to_vector(self._require(params, "theta"))
-            values.append((words, theta))
-        updated = lda.resample_documents_batch(self.rng, values, phi, self.alpha)
-        out = []
-        for (key, _), (words, _), (z, new_theta) in zip(grouped, values, updated):
-            out.extend(key + ("z", int(pos), int(w), float(t))
-                       for pos, (w, t) in enumerate(zip(words, z)))
-            out.extend(key + ("theta", int(t), 0, float(p))
-                       for t, p in enumerate(new_theta))
         return out
 
     def flops_per_invocation(self, params):
@@ -577,51 +440,6 @@ class GMMSuperVertexVG(VGFunction):
                 (k, "scatter", i, j, float(stats.scatters[k][i, j]))
                 for i in range(points.shape[1]) for j in range(points.shape[1])
             )
-        return out
-
-    def invoke_batch(self, rng, grouped):
-        """Every super vertex's block in one stacked membership draw.
-
-        The per-block weight matrices concatenate and resolve through a
-        single ``sample_categorical_rows`` call (the merged draw equals
-        the sequential per-block draws bitwise); sufficient statistics
-        then aggregate per block as in the scalar path.  Declines above
-        ``ROW_STABLE_MAX_DIM``, where the triangular solve inside the
-        stacked density is no longer row-decomposable.
-        """
-        if not grouped:
-            return []
-        first = grouped[0][1]
-        state = self._cache.get(
-            first["means"],
-            lambda: parse_gmm_model(first["means"], first["covas"], first["probs"]),
-        )
-        blocks = [
-            np.vstack([blob for _, blob in self._require(params, "block")])
-            for _, params in grouped
-        ]
-        if blocks[0].shape[1] > ROW_STABLE_MAX_DIM:
-            return None
-        stacked = np.vstack(blocks)
-        labels = sample_categorical_rows(
-            self.rng, gmm.membership_weights(stacked, state)
-        )
-        out = []
-        offset = 0
-        for (key, _), points in zip(grouped, blocks):
-            block_labels = labels[offset:offset + len(points)]
-            offset += len(points)
-            stats = gmm.sufficient_statistics(points, block_labels, state)
-            for k in range(state.clusters):
-                if stats.counts[k] == 0:
-                    continue
-                out.append(key + (k, "n", 0, 0, float(stats.counts[k])))
-                out.extend(key + (k, "sum", i, 0, float(v))
-                           for i, v in enumerate(stats.sums[k]))
-                out.extend(
-                    key + (k, "scatter", i, j, float(stats.scatters[k][i, j]))
-                    for i in range(points.shape[1]) for j in range(points.shape[1])
-                )
         return out
 
     def flops_per_invocation(self, params):

@@ -14,8 +14,8 @@ vertices per machine).
 This lives in the kernel layer because it is pure partitioning math
 with no execution semantics: both the graph engines and the model layer
 (the collapsed-LDA ablation) consume it, and kernels is the lowest
-layer both may import (L001).  ``repro.graph.supervertex`` re-exports
-everything for the engine-side callers.
+layer both may import (L001).  ``repro.graph`` re-exports everything
+for the engine-side callers.
 """
 
 from __future__ import annotations

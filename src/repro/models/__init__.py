@@ -1,6 +1,6 @@
 """Model mathematics, reference samplers, diagnostics, and metrics."""
 
-from repro.models import collapsed_lda, diagnostics, evaluation, gmm, hmm, imputation, lasso, lda
+from repro.models import collapsed_lda, diagnostics, evaluation
 from repro.models.reference import (
     ReferenceGMM,
     ReferenceHMM,
@@ -18,9 +18,4 @@ __all__ = [
     "ReferenceImputation",
     "ReferenceLDA",
     "ReferenceLasso",
-    "gmm",
-    "hmm",
-    "imputation",
-    "lasso",
-    "lda",
 ]

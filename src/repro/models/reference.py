@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models import gmm, hmm, imputation, lasso, lda
+from repro.kernels import gmm, hmm, imputation, lasso, lda
 
 
 class ReferenceGMM:
@@ -159,7 +159,7 @@ class ReferenceImputation:
     Memberships are drawn from the *observed* coordinates' marginal
     likelihood (censored coordinates marginalized out), so a heavily
     censored point is never locked into whichever cluster first imputed
-    it; see :func:`repro.models.imputation.marginal_membership_weights`.
+    it; see :func:`repro.kernels.imputation.marginal_membership_weights`.
     """
 
     def __init__(self, censored_points: np.ndarray, mask: np.ndarray, clusters: int,

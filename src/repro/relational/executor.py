@@ -402,12 +402,13 @@ class Executor:
                 Kind.COMPUTE, records=len(grouped), flops=total_flops,
                 language="cpp", scale=invocation_scale, label=f"vg:{vg.name}",
             )
-        batched = vg.invoke_batch(self.db.rng, grouped) if fastpath.enabled() else None
+        batch = vg.invoke_batch if fastpath.enabled() else None
+        batched = batch(self.db.rng, grouped) if batch is not None else None
         if batched is not None:
             fastpath.record_batch(f"vg:{vg.name}")
             out_rows = list(batched)
         else:
-            if fastpath.enabled() and grouped:
+            if batch is not None and grouped:
                 fastpath.record_decline(f"vg:{vg.name}")
             for key, rows_by_param in grouped:
                 for out in vg.invoke(self.db.rng, rows_by_param):

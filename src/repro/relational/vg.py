@@ -14,6 +14,8 @@ for the GMM) in :mod:`repro.impls.simsql`.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.stats import (
@@ -27,42 +29,27 @@ from repro.stats import (
 
 
 class VGFunction:
-    """Base class: subclasses define ``output_columns`` and ``invoke``."""
+    """Base class: subclasses define ``output_columns`` and ``invoke``.
+
+    A subclass may also define ``invoke_batch(rng, grouped)``, one batched
+    invocation over every group of one VG call.  ``grouped`` is the
+    executor's ``(key, rows_by_param)`` list; the batch returns the flat
+    output-row list with group keys prepended — exactly what the
+    per-group ``invoke`` loop builds — or ``None`` to decline, in which
+    case the executor records the decline and runs that loop.  Batches
+    must consume the draw stream bitwise like the sequential invokes
+    (``tests/test_kernel_equivalence.py`` gates each one), so simulated
+    results are identical with the host fast path on or off.
+    """
 
     name: str = "vg"
     output_columns: tuple[str, ...] = ()
 
+    #: Optional batched invocation; see the class docstring.
+    invoke_batch: Callable | None = None
+
     def invoke(self, rng: np.random.Generator, params: dict[str, list[tuple]]) -> list[tuple]:
         raise NotImplementedError
-
-    def invoke_batch(
-        self,
-        rng: np.random.Generator,
-        grouped: list[tuple[tuple, dict[str, list[tuple]]]],
-    ) -> list[tuple] | None:
-        """Optional batched invocation over every group of one VG call.
-
-        ``grouped`` is the executor's ``(key, rows_by_param)`` list.  An
-        implementation returns the flat output-row list with group keys
-        prepended — exactly what the per-group ``invoke`` loop builds —
-        or ``None`` to decline, in which case the executor falls back to
-        that loop.  Batches must consume the draw stream bitwise like
-        the sequential invokes (``tests/test_kernel_equivalence.py``
-        gates each implementation), so simulated results are identical
-        with the host fast path on or off.
-        """
-        return None
-
-    def _strip_batch(self, rng, grouped):
-        """Dispatch-stripped batch plan: the identical scalar sampler per
-        group, inline and in group order — one batched invocation instead
-        of the executor's per-group loop.  Bitwise-equal by construction;
-        used by samplers whose draws interleave per group and cannot
-        merge into one block.
-        """
-        return [key + tuple(out)
-                for key, params in grouped
-                for out in self.invoke(rng, params)]
 
     def flops_per_invocation(self, params: dict[str, list[tuple]]) -> float:
         """Rough internal FLOP count of one invocation, for the cost model."""
@@ -88,8 +75,6 @@ class DirichletVG(VGFunction):
         probs = Dirichlet(alpha).sample(rng)
         return list(zip(ids, probs.tolist()))
 
-    invoke_batch = VGFunction._strip_batch
-
     def flops_per_invocation(self, params):
         return 20.0 * len(params.get("alpha", ()))
 
@@ -106,8 +91,6 @@ class CategoricalVG(VGFunction):
         weights = np.array([r[1] for r in rows], dtype=float)
         choice = Categorical(weights).sample(rng)
         return [(ids[choice],)]
-
-    invoke_batch = VGFunction._strip_batch
 
     def flops_per_invocation(self, params):
         return 5.0 * len(params.get("weights", ()))
@@ -133,8 +116,6 @@ class NormalVG(VGFunction):
             cov[index[d1], index[d2]] = value
         draw = MultivariateNormal(mean, cov).sample(rng)
         return list(zip(dims, draw.tolist()))
-
-    invoke_batch = VGFunction._strip_batch
 
     def flops_per_invocation(self, params):
         d = max(1, len(params.get("mean", ())))
@@ -162,8 +143,6 @@ class InvWishartVG(VGFunction):
             for d2 in dims
         ]
 
-    invoke_batch = VGFunction._strip_batch
-
     def flops_per_invocation(self, params):
         d = max(1, int(np.sqrt(len(params.get("scale", (1,))))))
         return float(3 * d**3)
@@ -180,8 +159,6 @@ class InvGammaVG(VGFunction):
         (scale,), = self._require(params, "scale")
         return [(float(InverseGamma(float(shape), float(scale)).sample(rng)),)]
 
-    invoke_batch = VGFunction._strip_batch
-
 
 class InvGaussianVG(VGFunction):
     """``InvGaussian(mu query, lambda query)`` -> one row ``(value,)``.
@@ -197,19 +174,3 @@ class InvGaussianVG(VGFunction):
         (mu,), = self._require(params, "mu")
         (lam,), = self._require(params, "lam")
         return [(float(InverseGaussian(float(mu), float(lam)).sample(rng)),)]
-
-    def invoke_batch(self, rng, grouped):
-        """One pass over all regressor groups.
-
-        The MSH sampler interleaves its normal and uniform draws per
-        invocation, so the draws themselves cannot be merged into one
-        block without changing the stream; the batch instead strips the
-        per-group executor dispatch and emits the rows directly, calling
-        the identical scalar sampler in group order.
-        """
-        out = []
-        for key, params in grouped:
-            (mu,), = self._require(params, "mu")
-            (lam,), = self._require(params, "lam")
-            out.append(key + (float(InverseGaussian(float(mu), float(lam)).sample(rng)),))
-        return out

@@ -8,16 +8,15 @@ clean twin proving the rule keys on the violation, not the shape.
 
 from __future__ import annotations
 
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.engine import run_analysis
 
 
-def build(tmp_path, files, cache=None):
+def build(tmp_path, files):
     for rel, source in files.items():
         target = tmp_path / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(source)
-    return run_analysis([tmp_path / "src"], cache=cache)
+    return run_analysis([tmp_path / "src"])
 
 
 def rule_findings(result, rule):
@@ -326,43 +325,3 @@ class TestTracePurity:
                 "    return events\n",
         })
         assert rule_findings(result, "P001") == []
-
-
-class TestIncrementalCache:
-    FILES = {
-        "src/repro/dataflow/one.py":
-            "def f(x):\n    return x\n",
-        "src/repro/dataflow/two.py":
-            "def g(x):\n    return x\n",
-    }
-
-    def test_cold_then_warm(self, tmp_path):
-        cache_file = tmp_path / "cache.json"
-        cold = build(tmp_path, self.FILES, cache=AnalysisCache(cache_file))
-        assert cold.files_reanalyzed == 2
-        assert cold.cache_hits == 0
-        warm = run_analysis([tmp_path / "src"],
-                            cache=AnalysisCache(cache_file))
-        assert warm.files_reanalyzed == 0
-        assert warm.cache_hits == 2
-        assert [f.as_dict() for f in warm.findings] == \
-            [f.as_dict() for f in cold.findings]
-
-    def test_edit_invalidates_one_file_and_surfaces_finding(self, tmp_path):
-        cache_file = tmp_path / "cache.json"
-        build(tmp_path, self.FILES, cache=AnalysisCache(cache_file))
-        (tmp_path / "src/repro/dataflow/one.py").write_text(
-            "def f(x, acc=[]):\n    return x\n")
-        rerun = run_analysis([tmp_path / "src"],
-                             cache=AnalysisCache(cache_file))
-        assert rerun.files_reanalyzed == 1
-        assert rerun.cache_hits == 1
-        assert [f.rule for f in rerun.findings] == ["M001"]
-
-    def test_version_or_digest_mismatch_discards(self, tmp_path):
-        cache_file = tmp_path / "cache.json"
-        cache_file.write_text('{"version": 999, "entries": {}}')
-        cache = AnalysisCache(cache_file)
-        assert cache.entries == {}
-        result = build(tmp_path, self.FILES, cache=cache)
-        assert result.files_reanalyzed == 2

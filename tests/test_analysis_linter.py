@@ -515,33 +515,6 @@ class TestCliInterproc:
         assert graph["call_edges"] == 1
         assert {"engines", "kernels"} <= set(graph["layers"])
 
-    def test_cache_round_trip_via_cli(self, tmp_path):
-        self.plant(tmp_path, "src/repro/dataflow/a.py",
-                   "def f(x):\n    return x\n")
-        self.plant(tmp_path, "src/repro/dataflow/b.py",
-                   "def g(x):\n    return x\n")
-        cache = tmp_path / "cache.json"
-        args = ["--cache", str(cache), "--format", "json",
-                str(tmp_path / "src")]
-        cold = json.loads(run_cli(args, cwd=tmp_path).stdout)
-        assert cold["files_reanalyzed"] == 2 and cold["cache_hits"] == 0
-        assert cache.is_file()
-        warm = json.loads(run_cli(args, cwd=tmp_path).stdout)
-        assert warm["files_reanalyzed"] == 0 and warm["cache_hits"] == 2
-        assert warm["findings"] == cold["findings"]
-
-    def test_fix_flag_rewrites_then_lints(self, tmp_path):
-        target = self.plant(
-            tmp_path, "src/repro/dataflow/messy.py",
-            "def collect(x, acc=[]):\n"
-            "    \"\"\"Collect.\"\"\"\n"
-            "    acc.append(x)\n"
-            "    return acc\n")
-        result = run_cli(["--fix", str(tmp_path / "src")], cwd=tmp_path)
-        assert result.returncode == 0, result.stdout
-        assert "fixed" in result.stdout
-        assert "acc=None" in target.read_text()
-
 
 def test_repository_lints_clean():
     """The meta-test: the tree the figures are built from has no findings.

@@ -28,6 +28,14 @@ class TestEvents:
         assert event.scale == DATA
         assert event.site is Site.CLUSTER
 
+    def test_events_have_no_instance_dict(self):
+        event = CostEvent(kind=Kind.COMPUTE, records=1.0)
+        memory = MemoryEvent(bytes=1.0)
+        assert not hasattr(event, "__dict__")
+        assert not hasattr(memory, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            event.extra = 1
+
 
 class TestTracer:
     def test_phases_collect_events(self):

@@ -8,7 +8,7 @@ from repro.impls.giraph import GiraphImputation
 from repro.impls.graphlab import GraphLabImputationSuperVertex
 from repro.impls.simsql import SimSQLImputation
 from repro.impls.spark import SparkImputation
-from repro.models.imputation import imputation_error
+from repro.kernels.imputation import imputation_error
 from repro.stats import make_rng
 from repro.workloads import censor_beta_coin, generate_gmm_data
 

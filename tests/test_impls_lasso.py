@@ -8,7 +8,7 @@ from repro.impls.giraph import GiraphLasso, GiraphLassoSuperVertex
 from repro.impls.graphlab import GraphLabLassoSuperVertex
 from repro.impls.simsql import SimSQLLasso
 from repro.impls.spark import SparkLasso
-from repro.models import lasso
+from repro.kernels import lasso
 from repro.stats import make_rng
 from repro.workloads import generate_lasso_data
 

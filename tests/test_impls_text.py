@@ -28,7 +28,7 @@ from repro.impls.spark import (
     SparkLDAJava,
     SparkLDASuperVertex,
 )
-from repro.models import hmm as hmm_mod, lda as lda_mod
+from repro.kernels import hmm as hmm_mod, lda as lda_mod
 from repro.stats import make_rng
 from repro.workloads import generate_hmm_corpus, generate_lda_corpus
 

@@ -7,7 +7,8 @@ must match the known semi-conjugate posteriors.
 import numpy as np
 import pytest
 
-from repro.models import ReferenceGMM, gmm
+from repro.kernels import gmm
+from repro.models import ReferenceGMM
 from repro.stats import make_rng
 from repro.workloads import generate_gmm_data
 

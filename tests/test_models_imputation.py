@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.models import ReferenceImputation, gmm
-from repro.models.imputation import imputation_error, impute_point, impute_points
+from repro.kernels import gmm
+from repro.kernels.imputation import imputation_error, impute_point, impute_points
+from repro.models import ReferenceImputation
 from repro.stats import make_rng
 from repro.workloads import censor_beta_coin, generate_gmm_data
 

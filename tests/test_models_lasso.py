@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import ReferenceLasso, lasso
+from repro.kernels import lasso
+from repro.models import ReferenceLasso
 from repro.stats import make_rng
 from repro.workloads import generate_lasso_data
 

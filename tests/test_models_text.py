@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.models import ReferenceHMM, ReferenceLDA, hmm, lda
+from repro.kernels import hmm, lda
+from repro.models import ReferenceHMM, ReferenceLDA
 from repro.stats import make_rng
 from repro.workloads import generate_hmm_corpus, generate_lda_corpus
 

@@ -9,9 +9,9 @@ import pytest
 
 from repro.bench.runner import paper_scales, run_benchmark, validate_scale_groups
 from repro.cluster import ClusterSpec, Tracer
-from repro.impls import REGISTRY
+from repro.impls import REGISTRY, registry
 from repro.impls.base import Implementation
-from repro.impls.registry import cell, cells, data_factory
+from repro.impls.registry import NO_BATCH_TWIN, cell, cells, data_factory
 from repro.stats import make_rng
 from repro.workloads import (
     censor_beta_coin,
@@ -98,3 +98,22 @@ def test_validate_scale_groups_rejects_drifted_declaration(tiny_data):
     impl.scale_groups = lambda: ()
     with pytest.raises(ValueError, match="undeclared"):
         validate_scale_groups(impl, tracer)
+
+
+def test_no_batch_twin_names_registered_cells():
+    assert NO_BATCH_TWIN <= set(cells())
+
+
+def test_batch_coverage_reports_stale_and_missing_entries(monkeypatch):
+    """The coverage contract is two-sided: a listed cell that fires a
+    batch site and an unlisted cell that stays silent both fail."""
+    batching = ("spark", "gmm", "initial")
+    silent = ("graphlab", "lasso", "super-vertex")
+    monkeypatch.setattr(registry, "NO_BATCH_TWIN",
+                        (NO_BATCH_TWIN - {silent}) | {batching})
+    coverage = registry.batch_coverage()
+    missed = sorted(name for name, report in coverage["cells"].items()
+                    if not report["covered"])
+    assert missed == ["graphlab/lasso/super-vertex", "spark/gmm/initial"]
+    assert coverage["cells"]["spark/gmm/initial"]["batch_sites"]
+    assert coverage["covered"] == coverage["total"] - 2

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cluster import (
     ClusterSpec,
-    CompactTracer,
     ContentionWindow,
     FaultRates,
     FaultSchedule,
@@ -96,35 +95,16 @@ def assert_grid_matches_oracle(tracer, profile, scenarios):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("platform", sorted(PLATFORM_PROFILES))
-@pytest.mark.parametrize("compact", [False, True])
-def test_phase_reports_match_scalar_path(platform, compact):
-    tracer = build_trace(CompactTracer() if compact else Tracer())
+def test_phase_reports_match_scalar_path(platform):
+    tracer = build_trace(Tracer())
     profile = PLATFORM_PROFILES[platform]
     for machines in (1, 5, 20):
         cluster = ClusterSpec(machines=machines)
         simulator = Simulator(cluster, profile)
         scale_map = ScaleMap(SCALES)
-        want = [simulator._simulate_phase(p, scale_map)
-                for p in (tracer.materialized() if compact else tracer.phases)]
+        want = [simulator._simulate_phase(p, scale_map) for p in tracer.phases]
         got = phase_reports(TraceTable.of(tracer), scale_map, cluster, profile)
         assert repr(got) == repr(want)
-
-
-@pytest.mark.parametrize("platform", sorted(PLATFORM_PROFILES))
-def test_simulator_consumes_compact_tracer_natively(platform):
-    """``simulate`` on a CompactTracer never materializes CostEvents and
-    still reproduces the object-list report bit for bit."""
-    compact = build_trace(CompactTracer())
-    plain = build_trace(Tracer())
-    profile = PLATFORM_PROFILES[platform]
-    simulator = Simulator(ClusterSpec(machines=5), profile)
-    schedule = FaultSchedule.sampled(FaultRates(machine_crash=0.4), seed=1)
-    assert repr(simulator.simulate(compact, SCALES)) == repr(
-        simulator.simulate(plain, SCALES))
-    assert repr(simulator.simulate(compact, SCALES, faults=schedule)) == repr(
-        simulator.simulate(plain, SCALES, faults=schedule))
-    assert all(not p.events for p in compact.phases), (
-        "native consumption must not materialize event objects")
 
 
 def test_unknown_scale_group_message_matches_oracle():
@@ -408,7 +388,7 @@ def test_fleet_axis_in_product_grid():
 # ----------------------------------------------------------------------
 
 def test_trace_table_cache_invalidates_on_growth():
-    tracer = CompactTracer()
+    tracer = Tracer()
     with tracer.init_phase():
         tracer.emit(Kind.COMPUTE, records=1.0)
     first = TraceTable.of(tracer)
@@ -418,14 +398,6 @@ def test_trace_table_cache_invalidates_on_growth():
     second = TraceTable.of(tracer)
     assert second is not first
     assert second.n_phases == 2
-
-
-def test_observed_cost_scales_matches_event_walk():
-    compact = build_trace(CompactTracer())
-    plain = build_trace(Tracer())
-    want = {event.scale for phase in plain.phases for event in phase.events}
-    assert compact.observed_cost_scales() == want
-    assert plain.observed_cost_scales() == want
 
 
 # ----------------------------------------------------------------------
